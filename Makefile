@@ -22,10 +22,16 @@ vet:
 # §13) with the repo's own analyzers — map iteration order,
 # wall-clock/global-rand use, panics in packet-processing code, hot-path
 # allocation discipline, frame ownership, trial purity, justified escape
-# hatches, cross-shard ownership, and clock-domain hygiene.
+# hatches, cross-shard ownership, and clock-domain hygiene. It also
+# fails on any Go file gofmt would rewrite, outside testdata/ (the
+# analyzer fixtures keep deliberate layouts).
 # staticcheck runs too when installed; it is not vendored, so a bare
 # container skips it rather than failing.
 lint:
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/simlint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
@@ -60,10 +66,11 @@ bench:
 # bench-hotpath records the frame arena's alloc win instead of asserting
 # it from memory: the event-loop/delivery/timer benchmarks print ns/op and
 # allocs/op for the hottest paths, and the AllocsPerRun budget tests (TX
-# encap, IP ingress, RX decap, forwarding, keep-alive) pin the per-frame
-# allocation counts the pooled buffers bought.
+# encap, IP ingress, RX decap, forwarding, keep-alive, rack delivery, and
+# the workload's per-packet send) pin the per-frame allocation counts the
+# pooled buffers bought.
 bench-hotpath:
-	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp
+	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp ./internal/workload
 
 # bench-partition times the space-parallel engine at 1/2/4/8 shards on an
 # 8-PoD fabric and writes BENCH_partition.json (ns per simulated second,

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fluid"
 	"repro/internal/flowhash"
+	"repro/internal/fluid"
 	"repro/internal/ipstack"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"

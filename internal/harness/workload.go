@@ -150,6 +150,10 @@ func (f *Fabric) UplinkGroups() []workload.Group {
 	return groups
 }
 
+// workloadStep is how far RunWorkload advances the simulation between
+// checks for workload completion.
+const workloadStep = 50 * time.Millisecond
+
 // RunWorkload drives one workload trial over a warm fabric.
 func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	f, err := Build(opts)
@@ -205,10 +209,18 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 	if err != nil {
 		return WorkloadResult{}, err
 	}
+	maxRun := w.MaxRun
+	if maxRun <= 0 {
+		maxRun = 30 * time.Second
+	}
 	sampler := workload.NewSampler(f.Sim, w.SampleInterval)
 	for _, link := range f.Sim.Links() {
 		sampler.Watch(link)
 	}
+	// The run waits for every flow in workloadStep increments, so it
+	// samples at least until the schedule's paced horizon rounded up to a
+	// step: size the telemetry series for that up front.
+	sampler.Reserve(min(engine.Horizon()+workloadStep, maxRun))
 	meter := workload.NewLoadMeter(f.Sim, f.UplinkGroups())
 
 	engine.Start()
@@ -228,12 +240,8 @@ func RunWorkload(opts Options, w WorkloadConfig) (WorkloadResult, error) {
 		}
 		f.repathFluid(w, engine)
 	}
-	maxRun := w.MaxRun
-	if maxRun <= 0 {
-		maxRun = 30 * time.Second
-	}
 	for !engine.Done() && f.Sim.Now()-start < maxRun {
-		f.Sim.RunFor(50 * time.Millisecond)
+		f.Sim.RunFor(workloadStep)
 	}
 	sampler.Stop()
 

@@ -36,7 +36,11 @@ type Stats struct {
 	BlackholedTx uint64 // packets that died because the chosen port was down
 }
 
-// UDPHandler receives a delivered datagram.
+// UDPHandler receives a delivered datagram. The payload is borrowed:
+// dg.Payload aliases the received frame buffer, which the stack recycles
+// into the frame pool as soon as the handler returns. A handler may read
+// the payload only until it returns; anything it keeps must be copied out
+// (DESIGN.md §14).
 type UDPHandler func(src, dst netaddr.IPv4, dg udp.Datagram)
 
 // ICMPHandler receives a delivered (non-echo-request) ICMP message.
@@ -74,9 +78,11 @@ type Stack struct {
 	ipID  uint16
 
 	// frames is the owning simulation's frame-buffer pool: TX buffers come
-	// from it, and received or dropped buffers that are provably dead go
-	// back. Locally delivered packets are NOT recycled — their payload
-	// slices alias into the UDP/TCP handlers, which may retain them.
+	// from it, and every received or dropped buffer that is provably dead
+	// goes back — forwarded, undeliverable, UDP- and TCP-delivered frames
+	// alike. Only ICMP local delivery keeps its buffer out of the pool: the
+	// decoded message aliases it and flows into listeners not audited for
+	// retention.
 	frames *framepool.Pool
 }
 
@@ -190,11 +196,9 @@ func (s *Stack) PortUp(p *simnet.Port) {
 //simlint:hotpath
 func (s *Stack) HandleFrame(p *simnet.Port, frame []byte) {
 	f, err := ethernet.Unmarshal(frame)
-	if err != nil {
+	if err != nil || (f.Dst != p.MAC && !f.Dst.IsBroadcast()) {
+		s.frames.Put(frame) // undecodable or not for us: nothing read it
 		return
-	}
-	if f.Dst != p.MAC && !f.Dst.IsBroadcast() {
-		return // not for us
 	}
 	switch f.EtherType {
 	case ethernet.TypeARP:
@@ -204,10 +208,13 @@ func (s *Stack) HandleFrame(p *simnet.Port, frame []byte) {
 		s.frames.Put(frame)
 	case ethernet.TypeIPv4:
 		if s.handleIPv4(p, f.Payload) {
-			// Forwarded, errored or expired: every byte the stack needed has
-			// been copied out, so the received buffer can be recycled.
+			// Forwarded, errored, expired, or delivered to UDP or TCP:
+			// every byte the stack or a handler needed has been copied
+			// out, so the received buffer can be recycled.
 			s.frames.Put(frame)
 		}
+	default:
+		s.frames.Put(frame) // unknown EtherType: dropped unread
 	}
 }
 
@@ -250,16 +257,19 @@ func (s *Stack) handleARP(p *simnet.Port, f ethernet.Frame) {
 
 // handleIPv4 consumes a received IPv4 payload (aliasing into the delivered
 // frame). It reports whether the frame is spent — no live alias remains, so
-// the caller may recycle the buffer. Local delivery returns false: payload
-// slices flow into the UDP/TCP handlers, which may retain them.
+// the caller may recycle the buffer. Forwarding and drops always spend it.
+// Local delivery spends it for UDP, whose handlers only borrow the payload
+// (see UDPHandler), and for TCP, whose endpoint copies in-order data before
+// handing it on (tcp.Endpoint.Input). ICMP delivery returns false: the
+// decoded message aliases the frame and flows into listeners not audited
+// for retention.
 func (s *Stack) handleIPv4(p *simnet.Port, payload []byte) bool {
 	pkt, err := ipv4.Unmarshal(payload)
 	if err != nil {
 		return true
 	}
 	if s.IsLocal(pkt.Header.Dst) {
-		s.deliver(pkt, payload)
-		return false
+		return s.deliver(pkt, payload)
 	}
 	// Forward: copy into a fresh frame buffer (the received frame belongs
 	// to its own delivery) and decrement the TTL in place.
@@ -281,17 +291,19 @@ func (s *Stack) handleIPv4(p *simnet.Port, payload []byte) bool {
 	return true
 }
 
-// deliver consumes a locally destined packet. wire holds the original
-// wire-format bytes so error replies (port-unreachable) can quote them.
-func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
+// deliver consumes a locally destined packet and reports whether the
+// frame is spent (see handleIPv4). wire holds the original wire-format
+// bytes so error replies (port-unreachable) can quote them.
+func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) bool {
 	s.Stats.IPDelivered++
 	switch pkt.Header.Protocol {
 	case ipv4.ProtoTCP:
 		s.TCP.Input(pkt.Header.Src, pkt.Header.Dst, pkt.Payload)
+		return true
 	case ipv4.ProtoUDP:
 		dg, err := udp.Unmarshal(pkt.Header.Src, pkt.Header.Dst, pkt.Payload)
 		if err != nil {
-			return
+			return true
 		}
 		if h := s.udpHandlers[dg.DstPort]; h != nil {
 			h(pkt.Header.Src, pkt.Header.Dst, dg)
@@ -300,19 +312,23 @@ func (s *Stack) deliver(pkt ipv4.Packet, wire []byte) {
 			// traceroute probe reads this as "destination reached".
 			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.PortUnreachable(wire))
 		}
+		// The handler has returned and the port-unreachable quote copied
+		// what it needed: nothing aliases the frame any more.
+		return true
 	case ipv4.ProtoICMP:
 		m, err := icmp.Unmarshal(pkt.Payload)
 		if err != nil {
-			return
+			return false
 		}
 		if m.Type == icmp.TypeEchoRequest {
 			s.SendICMP(pkt.Header.Dst, pkt.Header.Src, icmp.EchoReplyTo(m))
-			return
+			return false
 		}
 		for _, h := range s.icmpHandlers {
 			h(pkt.Header.Src, m)
 		}
 	}
+	return false
 }
 
 // sendTCPSegment is the TCP endpoint's output path.

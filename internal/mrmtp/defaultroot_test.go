@@ -86,9 +86,9 @@ func TestSingleUplinkLossKeepsDefaultRoot(t *testing.T) {
 	spineN := sim.AddNode("spine")
 	topN := sim.AddNode("top")
 	top2N := sim.AddNode("top2")
-	sim.Connect(torN.AddPort(), spineN.AddPort())   // spine port 1 (down)
-	sim.Connect(spineN.AddPort(), topN.AddPort())   // spine port 2 (up)
-	sim.Connect(spineN.AddPort(), top2N.AddPort())  // spine port 3 (up)
+	sim.Connect(torN.AddPort(), spineN.AddPort())  // spine port 1 (down)
+	sim.Connect(spineN.AddPort(), topN.AddPort())  // spine port 2 (up)
+	sim.Connect(spineN.AddPort(), top2N.AddPort()) // spine port 3 (up)
 	torCfg := DefaultConfig(1, 3)
 	torCfg.RackSubnet = rack(11)
 	tor := New(torN, torCfg, log)

@@ -202,12 +202,18 @@ func (r *Router) forwardData(payload []byte, dstRoot byte, key flowhash.Key) {
 }
 
 // deliverToRack sends an IP packet to a server behind this ToR, resolving
-// the server's MAC on demand.
+// the server's MAC on demand. The rack frame is composed in a pooled
+// buffer, as ipstack's transmit does, so a warm pool makes the ToR's
+// egress toward its servers allocation-free.
+//
+//simlint:hotpath
 func (r *Router) deliverToRack(ipWire []byte, dst netaddr.IPv4) {
 	if e, ok := r.arpCache[dst]; ok {
 		port := r.Node.Port(e.port)
-		f := ethernet.Frame{Dst: e.mac, Src: port.MAC, EtherType: ethernet.TypeIPv4, Payload: ipWire}
-		port.Send(f.Marshal())
+		buf := r.frames.Get(ethernet.HeaderLen + len(ipWire))
+		ethernet.PutHeader(buf, e.mac, port.MAC, ethernet.TypeIPv4)
+		copy(buf[ethernet.HeaderLen:], ipWire)
+		port.Send(buf)
 		return
 	}
 	r.arpPending[dst] = append(r.arpPending[dst], append([]byte(nil), ipWire...)) //simlint:alloc ARP-miss slow path; the copy detaches the queued packet from the delivered frame

@@ -386,10 +386,14 @@ func (r *Router) PortDown(p *simnet.Port) {
 // resuming our own hellos (the hello scheduler never stopped).
 func (r *Router) PortUp(p *simnet.Port) {}
 
-// HandleFrame implements simnet.Handler.
+// HandleFrame implements simnet.Handler. Every exit returns the received
+// frame to the pool except data dispositions that hand aliasing slices on
+// (handleData reports those): control messages are decoded by ParseMessage,
+// which copies every field it keeps, so a control frame is dead once parsed.
 func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 	f, err := ethernet.Unmarshal(raw)
 	if err != nil {
+		r.frames.Put(raw)
 		return
 	}
 	if r.isServerPort(p.Index) {
@@ -399,11 +403,9 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 		r.frames.Put(raw)
 		return
 	}
-	if f.EtherType != ethernet.TypeMRMTP || len(f.Payload) == 0 {
-		return
-	}
 	adj := r.adjs[p.Index]
-	if adj == nil {
+	if adj == nil || f.EtherType != ethernet.TypeMRMTP || len(f.Payload) == 0 {
+		r.frames.Put(raw) // foreign EtherType, empty, or no adjacency: dropped unread
 		return
 	}
 	now := r.sim().Now()
@@ -436,6 +438,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 					adj.advertised = m.VIDs
 				}
 			}
+			r.frames.Put(raw)
 			return
 		}
 		// The accepting frame itself is processed normally below — it is
@@ -454,6 +457,7 @@ func (r *Router) HandleFrame(p *simnet.Port, raw []byte) {
 		return
 	}
 	m, err := ParseMessage(f.Payload)
+	r.frames.Put(raw) // m owns copies of everything it carries
 	if err != nil {
 		return
 	}

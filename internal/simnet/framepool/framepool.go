@@ -4,9 +4,11 @@
 // ownership then flows through Port.Send into the delivery event and on to
 // the receiving handler (DESIGN.md §7). Those buffers die constantly — a
 // transit router copies the payload onward and the received frame is spent;
-// a dropped frame dies inside the simulator — and at workload scale the
-// churn is pure garbage-collector pressure. The pool gives dead buffers
-// back to the next transmission instead.
+// a dropped frame dies inside the simulator; a UDP or TCP handler reads a
+// delivered payload and returns; a control message is parsed into owned
+// values — and at workload scale the churn is pure garbage-collector
+// pressure. The pool gives dead buffers back to the next transmission
+// instead, so a warm packet workload allocates no frame buffers at all.
 //
 // Get returns a zeroed buffer of exactly the requested length, so a pooled
 // buffer is indistinguishable from a fresh make([]byte, n): recycling can
@@ -30,11 +32,13 @@ var classSizes = [...]int{64, 128, 256, 512, 1024, 2048, 4096}
 // CSV so a leak-on-path regression is visible at runtime too.
 type Stats struct {
 	// InUse is Gets minus Puts: the number of lent buffers not yet
-	// returned. Frames that end their life outside the simulator (local
-	// delivery hands ownership to protocol handlers, which may retain the
-	// payload) are never Put, so a busy run holds a steady nonzero level;
-	// a monotonic climb on a closed workload is a leak. Foreign buffers
-	// entering via Put can push it below zero.
+	// returned — frames in flight or queued, plus the few dispositions that
+	// hand an aliasing slice to a handler that may retain it (ICMP local
+	// delivery, MR-MTP gateway and TTL-expiry traffic), which are never
+	// Put. Every other receive path returns its frame (DESIGN.md §14), so
+	// an idle fabric holds a flat level and a monotonic climb on a closed
+	// workload is a leak. Foreign buffers entering via Put can push it
+	// below zero.
 	InUse int
 	// Peak is the high-water mark of InUse.
 	Peak int

@@ -119,7 +119,10 @@ func (e *Endpoint) newConn(k connKey) *Conn {
 	return c
 }
 
-// Input feeds a received TCP segment (IP payload) into the endpoint.
+// Input feeds a received TCP segment (IP payload) into the endpoint. The
+// payload is borrowed: Input reads it only until it returns, copying
+// in-order data before handing it to the connection's data callback, so
+// the caller may recycle the buffer afterwards.
 func (e *Endpoint) Input(src, dst netaddr.IPv4, payload []byte) {
 	seg, err := Unmarshal(src, dst, payload)
 	if err != nil {

@@ -301,3 +301,37 @@ func TestDuplicateDataNotDeliveredTwice(t *testing.T) {
 		t.Errorf("got %q, want exactly one delivery", got)
 	}
 }
+
+// TestInputBorrowsPayload pins the contract the IP stack relies on to
+// recycle a TCP-delivered frame: Input reads the segment only until it
+// returns. The test scribbles over every delivered segment right after
+// Input and checks that the data the connection handed on, retained by
+// the callback without copying, is unaffected.
+func TestInputBorrowsPayload(t *testing.T) {
+	w := newWirePair(t)
+	deliver := func(to *Endpoint) func(src, dst netaddr.IPv4, seg []byte) {
+		return func(src, dst netaddr.IPv4, seg []byte) {
+			cp := append([]byte(nil), seg...)
+			w.sim.After(100*time.Microsecond, func() {
+				to.Input(src, dst, cp)
+				for i := range cp {
+					cp[i] = 0xee
+				}
+			})
+		}
+	}
+	w.a.output = deliver(w.b)
+	w.b.output = deliver(w.a)
+	var chunks [][]byte
+	w.b.Listen(179, func(c *Conn) {
+		c.OnData(func(d []byte) { chunks = append(chunks, d) })
+	})
+	c := w.a.Dial(ipA, ipB, 179)
+	w.sim.RunFor(10 * time.Millisecond)
+	c.Send([]byte("OPEN"))
+	c.Send([]byte("KEEPALIVE"))
+	w.sim.RunFor(10 * time.Millisecond)
+	if got := string(bytes.Join(chunks, nil)); got != "OPENKEEPALIVE" {
+		t.Errorf("retained data = %q, want OPENKEEPALIVE", got)
+	}
+}

@@ -6,6 +6,7 @@
 package udp
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/ipv4"
@@ -93,19 +94,41 @@ func Unmarshal(src, dst netaddr.IPv4, b []byte) (Datagram, error) {
 // pseudo-header words are summed directly rather than materialized: this
 // runs once per simulated packet, so it must not allocate.
 //
+// The segment is summed as 32-bit big-endian words into a 64-bit
+// accumulator, eight words per iteration, and the carries are folded down
+// to 16 bits at the end. Because 2^16 ≡ 1 (mod 2^16-1), a 32-bit word adds
+// the same ones'-complement value as its two 16-bit halves, so the result
+// is bit-identical to the RFC 1071 16-bit loop (kept as the test reference)
+// at a quarter of the iterations.
+//
 //simlint:hotpath
 func pseudoChecksum(src, dst netaddr.IPv4, proto byte, segment []byte) uint16 {
-	sum := uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto)
-	sum += uint32(uint16(len(segment)))
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(segment[i])<<8 | uint32(segment[i+1])
+	sum := uint64(binary.BigEndian.Uint32(src[:]))
+	sum += uint64(binary.BigEndian.Uint32(dst[:]))
+	sum += uint64(proto)
+	sum += uint64(uint16(len(segment)))
+	b := segment
+	for len(b) >= 32 {
+		_ = b[31] // one bounds check for the eight loads below
+		sum += uint64(binary.BigEndian.Uint32(b[0:])) + uint64(binary.BigEndian.Uint32(b[4:])) +
+			uint64(binary.BigEndian.Uint32(b[8:])) + uint64(binary.BigEndian.Uint32(b[12:])) +
+			uint64(binary.BigEndian.Uint32(b[16:])) + uint64(binary.BigEndian.Uint32(b[20:])) +
+			uint64(binary.BigEndian.Uint32(b[24:])) + uint64(binary.BigEndian.Uint32(b[28:]))
+		b = b[32:]
 	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
+	for len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	// The 0–3 trailing bytes form one word zero-padded on the right, the
+	// same padding RFC 768 applies to an odd final byte.
+	switch len(b) {
+	case 3:
+		sum += uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8
+	case 2:
+		sum += uint64(b[0])<<24 | uint64(b[1])<<16
+	case 1:
+		sum += uint64(b[0]) << 24
 	}
 	for sum>>16 != 0 {
 		sum = (sum & 0xffff) + (sum >> 16)

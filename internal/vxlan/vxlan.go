@@ -60,7 +60,9 @@ type VTEP struct {
 
 	// fdb maps inner destination MACs to the server hosting the VM.
 	fdb map[netaddr.MAC]netaddr.IPv4
-	// OnInnerFrame receives decapsulated VM frames.
+	// OnInnerFrame receives decapsulated VM frames. Each frame owns its
+	// bytes (a copy out of the borrowed UDP payload), so the callback may
+	// retain it.
 	OnInnerFrame func(inner ethernet.Frame)
 
 	// Stats for the overhead discussion in the paper's §IX.
@@ -84,7 +86,10 @@ func NewVTEP(stack *ipstack.Stack, local netaddr.IPv4, vni uint32) *VTEP {
 		if err != nil || gotVNI != v.vni {
 			return
 		}
-		f, err := ethernet.Unmarshal(inner)
+		// The datagram payload is borrowed from the stack's frame pool
+		// (ipstack.UDPHandler), and OnInnerFrame may keep the frame: hand
+		// it a copy that owns its bytes.
+		f, err := ethernet.Unmarshal(append([]byte(nil), inner...))
 		if err != nil {
 			return
 		}

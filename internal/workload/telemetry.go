@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/simnet"
@@ -99,6 +100,22 @@ func (s *Sampler) Watch(l *simnet.Link) {
 	}
 	add(l.A, l.B)
 	add(l.B, l.A)
+}
+
+// Reserve presizes every watched series, and the pool series, for a run
+// that samples for at least horizon of virtual time, so sampling appends
+// into capacity instead of regrowing each slice as the run goes on. It
+// changes no sample. Call after Watch; a run longer than horizon grows the
+// slices as before.
+func (s *Sampler) Reserve(horizon time.Duration) {
+	n := int(horizon / s.interval)
+	if n <= 0 {
+		return
+	}
+	for _, sr := range s.series {
+		sr.Samples = slices.Grow(sr.Samples, n)
+	}
+	s.pool = slices.Grow(s.pool, n)
 }
 
 // Start records the baseline and begins sampling. Call after Watch.

@@ -126,8 +126,8 @@ type Config struct {
 	// Start: ModeHybrid demotes flows whose predicted lifetime overlaps
 	// it, keeping packet fidelity where reconvergence dynamics matter.
 	// Zero values mean no window.
-	DemoteFrom   time.Duration
-	DemoteUntil  time.Duration
+	DemoteFrom  time.Duration
+	DemoteUntil time.Duration
 	// Solver is the shared fluid rate allocator, its links pre-registered
 	// by the harness; PathOf resolves flow paths onto those links. Both
 	// are required outside ModePacket.
@@ -213,6 +213,11 @@ type Engine struct {
 	// different shards of a partitioned engine never share a counter.
 	PacketsSent uint64
 	Retransmits uint64
+
+	// payload is the data-packet scratch buffer every sendData reuses:
+	// SendUDP copies it into a pooled frame, and only the 16-byte wire
+	// header differs between packets (the tail stays zero).
+	payload []byte
 }
 
 // New generates the full flow schedule deterministically from cfg.Seed and
@@ -240,10 +245,11 @@ func New(sim simnet.Engine, hosts []Host, cfg Config) (*Engine, error) {
 		sim = hosts[0].Stack.Node.Sim
 	}
 	e := &Engine{
-		sim:   sim,
-		hosts: hosts,
-		cfg:   cfg,
-		byID:  make(map[uint32]*Flow, cfg.Flows),
+		sim:     sim,
+		hosts:   hosts,
+		cfg:     cfg,
+		byID:    make(map[uint32]*Flow, cfg.Flows),
+		payload: make([]byte, cfg.PacketSize),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pair := e.pairer(rng)
@@ -527,9 +533,12 @@ func (f *Flow) missing() []uint32 {
 	return out
 }
 
+// sendData transmits one data packet. It runs from the retransmit tick, a
+// control event at the quiesce barrier, so the shared payload buffer is
+// never written by two senders at once.
 func (e *Engine) sendData(f *Flow, seq uint32) {
 	e.PacketsSent++
-	payload := make([]byte, e.cfg.PacketSize)
+	payload := e.payload
 	putU32(payload[0:], Magic)
 	putU32(payload[4:], f.ID)
 	putU32(payload[8:], seq)
@@ -575,6 +584,21 @@ func (e *Engine) Done() bool {
 		}
 	}
 	return true
+}
+
+// Horizon is a lower bound on how long, measured from Start, the workload
+// keeps the fabric busy: the latest instant at which some flow's final
+// packet can leave its sender at the paced rate (a fluid flow's rate cap is
+// the same pacing). No flow completes before its own bound, so a run that
+// waits for every flow lasts at least this long unless flows are abandoned.
+func (e *Engine) Horizon() time.Duration {
+	var h time.Duration
+	for _, f := range e.flows {
+		if end := f.Start + time.Duration(f.Packets-1)*e.cfg.PacketInterval; end > h {
+			h = end
+		}
+	}
+	return h
 }
 
 // Flows exposes the schedule in generation order (read-only by convention).

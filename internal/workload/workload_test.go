@@ -379,3 +379,63 @@ func TestLoadMeterIndices(t *testing.T) {
 		t.Errorf("jain mean = %v", jain)
 	}
 }
+
+// TestSamplerReserveKeepsSamples runs the same workload twice, once with
+// the telemetry series presized from the engine's horizon, and checks that
+// presizing changes capacity only: every link and pool sample is
+// identical, the reserved run never regrows its series, and the horizon is
+// a lower bound on the run (every flow finishes after it).
+func TestSamplerReserveKeepsSamples(t *testing.T) {
+	var reserved []int // capacity of each series right after Reserve
+	run := func(reserve bool) (*Sampler, *Engine, time.Duration) {
+		w := newRig(t, 1)
+		e, err := New(nil, w.hosts, smallConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSampler(w.sim, time.Millisecond)
+		for _, l := range w.sim.Links() {
+			s.Watch(l)
+		}
+		if reserve {
+			s.Reserve(e.Horizon() + 50*time.Millisecond)
+			for _, sr := range s.Series() {
+				reserved = append(reserved, cap(sr.Samples))
+			}
+		}
+		e.Start()
+		s.Start()
+		start := w.sim.Now()
+		for !e.Done() {
+			w.sim.RunFor(50 * time.Millisecond)
+		}
+		s.Stop()
+		return s, e, start
+	}
+	plain, _, _ := run(false)
+	sized, e, start := run(true)
+	if !reflect.DeepEqual(plain.PoolSeries(), sized.PoolSeries()) {
+		t.Error("Reserve changed the pool series")
+	}
+	want := int((e.Horizon() + 50*time.Millisecond) / time.Millisecond)
+	for i, sr := range sized.Series() {
+		if !reflect.DeepEqual(sr.Samples, plain.Series()[i].Samples) {
+			t.Errorf("%s: Reserve changed the samples", sr.Name)
+		}
+		if reserved[i] < want {
+			t.Errorf("%s: reserved capacity %d, want >= %d", sr.Name, reserved[i], want)
+		}
+		if cap(sr.Samples) != reserved[i] {
+			t.Errorf("%s: %d samples regrew the series from %d to %d", sr.Name, len(sr.Samples), reserved[i], cap(sr.Samples))
+		}
+	}
+	var last time.Duration
+	for _, f := range e.Flows() {
+		if end := f.launchedAt + f.FCT - start; end > last {
+			last = end
+		}
+	}
+	if last < e.Horizon() {
+		t.Errorf("last flow finished %v after start, before the horizon %v", last, e.Horizon())
+	}
+}

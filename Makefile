@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-partition bench-partition-smoke bench-fluid fluid-smoke figures fuzz-smoke chaos-smoke trace-smoke check
+.PHONY: all build test vet lint analyzers invariants race bench bench-hotpath bench-partition bench-partition-smoke bench-fluid fluid-smoke million-smoke figures fuzz-smoke chaos-smoke trace-smoke check
 
 all: check
 
@@ -66,11 +66,12 @@ bench:
 # bench-hotpath records the frame arena's alloc win instead of asserting
 # it from memory: the event-loop/delivery/timer benchmarks print ns/op and
 # allocs/op for the hottest paths, and the AllocsPerRun budget tests (TX
-# encap, IP ingress, RX decap, forwarding, keep-alive, rack delivery, and
-# the workload's per-packet send) pin the per-frame allocation counts the
-# pooled buffers bought.
+# encap, IP ingress, RX decap, forwarding, keep-alive, rack delivery, FIB
+# lookup and update, the workload's per-packet send and flow schedule, and
+# fluid admission into an existing path group) pin the allocation counts
+# the pooled buffers and flat layouts bought.
 bench-hotpath:
-	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp ./internal/workload
+	$(GO) test -bench 'EventLoop|FrameDelivery|TimerResetChurn' -benchtime 1000x -benchmem -run 'Allocs$$' ./internal/simnet ./internal/ipstack ./internal/mrmtp ./internal/workload ./internal/fluid
 
 # bench-partition times the space-parallel engine at 1/2/4/8 shards on an
 # 8-PoD fabric and writes BENCH_partition.json (ns per simulated second,
@@ -99,6 +100,12 @@ bench-fluid:
 # demotion to the packet path, and the engine-tagged artifacts.
 fluid-smoke:
 	$(GO) run -race ./cmd/closlab -experiment workload -engine hybrid -pods 2 -trials 1 -flows 60 -out /tmp/closlab-fluid-smoke
+
+# million-smoke runs the scale target: one hybrid trial carrying 10^6
+# concurrent fluid flows on the 2-PoD fabric, every flow completed. It is
+# kept off -race (the detector multiplies its memory several times over).
+million-smoke:
+	CLOSLAB_MILLION=1 $(GO) test -count=1 -run TestMillionFlowHybrid ./internal/harness
 
 # figures prints the full evaluation grids via the CLI driver.
 figures:

@@ -21,8 +21,14 @@ type fluidBenchRow struct {
 	Skipped bool   `json:"skipped,omitempty"`
 	Reason  string `json:"reason,omitempty"`
 
-	Completed      int `json:"completed,omitempty"`
-	PeakConcurrent int `json:"peak_concurrent,omitempty"`
+	Completed int `json:"completed,omitempty"`
+	Abandoned int `json:"abandoned,omitempty"`
+	// Incomplete marks a run that did not complete every offered flow
+	// (abandoned, or still unfinished at the trial cap). Its throughput
+	// is not a result: it measures a collapsed run, and no speedup may be
+	// quoted against it.
+	Incomplete     bool `json:"incomplete,omitempty"`
+	PeakConcurrent int  `json:"peak_concurrent,omitempty"`
 	// VirtualSeconds is the simulated time the trial covered; WallSeconds
 	// the real time it took.
 	VirtualSeconds float64 `json:"virtual_seconds,omitempty"`
@@ -38,10 +44,35 @@ type fluidBenchRow struct {
 // fluidBenchFile is the BENCH_fluid.json schema.
 type fluidBenchFile struct {
 	GeneratedBy string          `json:"generated_by"`
+	GoVersion   string          `json:"go"`
+	GOOS        string          `json:"goos"`
+	GOARCH      string          `json:"goarch"`
 	GOMAXPROCS  int             `json:"gomaxprocs"`
 	NumCPU      int             `json:"num_cpu"`
 	Pods        int             `json:"pods"`
 	Results     []fluidBenchRow `json:"results"`
+}
+
+// measuredFluidRow fills one row from a finished trial: the report's
+// completion counts, the incomplete mark, and the wall-time rates.
+func measuredFluidRow(engine string, flows int, rep workload.Report, virtual, wall time.Duration) fluidBenchRow {
+	row := fluidBenchRow{
+		Engine:         engine,
+		Flows:          flows,
+		Completed:      rep.Completed,
+		Abandoned:      rep.Abandoned,
+		Incomplete:     rep.Completed < flows,
+		PeakConcurrent: rep.PeakConcurrent,
+		VirtualSeconds: virtual.Seconds(),
+		WallSeconds:    wall.Seconds(),
+	}
+	if wall > 0 {
+		row.FlowsPerWallSec = float64(rep.Completed) / wall.Seconds()
+	}
+	if virtual > 0 {
+		row.NsWallPerSimSec = int64(float64(wall.Nanoseconds()) / virtual.Seconds())
+	}
+	return row
 }
 
 // benchFluid measures workload throughput of the packet engine against the
@@ -54,6 +85,9 @@ type fluidBenchFile struct {
 func benchFluid(spec topology.Spec, seed int64, path string) error {
 	out := fluidBenchFile{
 		GeneratedBy: "closlab -experiment bench-fluid",
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 		Pods:        spec.Pods,
@@ -100,19 +134,14 @@ func benchFluid(spec topology.Spec, seed int64, path string) error {
 					}
 				}
 			}
-			row.Completed = res.Report.Completed
-			row.PeakConcurrent = res.Report.PeakConcurrent
-			row.VirtualSeconds = virtual.Seconds()
-			row.WallSeconds = wall.Seconds()
-			if wall > 0 {
-				row.FlowsPerWallSec = float64(res.Report.Completed) / wall.Seconds()
-			}
-			if virtual > 0 {
-				row.NsWallPerSimSec = int64(float64(wall.Nanoseconds()) / virtual.Seconds())
-			}
+			row = measuredFluidRow(row.Engine, n, res.Report, virtual, wall)
 			out.Results = append(out.Results, row)
-			emitf("%8s %9d %11.2f %11.2f %13.0f %15d\n",
-				row.Engine, n, row.VirtualSeconds, row.WallSeconds, row.FlowsPerWallSec, row.NsWallPerSimSec)
+			note := ""
+			if row.Incomplete {
+				note = fmt.Sprintf("  INCOMPLETE: %d of %d flows completed, not a result", row.Completed, n)
+			}
+			emitf("%8s %9d %11.2f %11.2f %13.0f %15d%s\n",
+				row.Engine, n, row.VirtualSeconds, row.WallSeconds, row.FlowsPerWallSec, row.NsWallPerSimSec, note)
 		}
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -141,8 +141,10 @@ func (s *Solver) Peak() int { return s.peak }
 func (s *Solver) Groups() int { return len(s.groups) }
 
 // pathKey renders a path (plus the phantom/fluid kind, which must never
-// share a group) into the lookup key.
-func (s *Solver) pathKey(path []LinkID, phantom bool) string {
+// share a group) into the lookup key. The bytes live in the solver's
+// scratch buffer until the next call; lookups index the map with
+// string(key), which does not allocate.
+func (s *Solver) pathKey(path []LinkID, phantom bool) []byte {
 	b := s.keyBuf[:0]
 	if phantom {
 		b = append(b, 'P')
@@ -153,19 +155,20 @@ func (s *Solver) pathKey(path []LinkID, phantom bool) string {
 		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	s.keyBuf = b
-	return string(b)
+	return b
 }
 
-// groupFor finds or creates the group owning (path, phantom).
+// groupFor finds or creates the group owning (path, phantom). Joining an
+// existing group allocates nothing; only a new group copies its key.
 func (s *Solver) groupFor(path []LinkID, latency time.Duration, phantom bool) (*group, int32) {
 	key := s.pathKey(path, phantom)
-	if gi, ok := s.index[key]; ok {
+	if gi, ok := s.index[string(key)]; ok {
 		return s.groups[gi], gi
 	}
 	g := &group{path: append([]LinkID(nil), path...), latency: latency, phantom: phantom}
 	gi := int32(len(s.groups))
 	s.groups = append(s.groups, g)
-	s.index[key] = gi
+	s.index[string(key)] = gi
 	for _, lid := range path {
 		s.links[lid].groups = append(s.links[lid].groups, gi)
 	}
@@ -425,7 +428,7 @@ func (s *Solver) Repath(resolve func(id uint32) (path []LinkID, latency time.Dur
 		if !ok || samePath(g.path, newPath) {
 			continue
 		}
-		delete(s.index, s.pathKey(g.path, false))
+		delete(s.index, string(s.pathKey(g.path, false)))
 		for _, lid := range g.path {
 			s.links[lid].groups = removeGroup(s.links[lid].groups, int32(gi))
 		}
@@ -460,6 +463,13 @@ func removeGroup(gs []int32, gi int32) []int32 {
 
 // --- member min-heap (threshold, then admission seq) ------------------------
 
+// The heap is 4-ary, and both sifts move a hole instead of swapping: the
+// moving member is written once, where it lands. (threshold, seq) is a
+// strict total order — seq is unique — so the pop sequence is the same as
+// any other correct heap's.
+
+const heapArity = 4
+
 func memberLess(a, b member) bool {
 	if a.threshold != b.threshold {
 		return a.threshold < b.threshold
@@ -468,36 +478,43 @@ func memberLess(a, b member) bool {
 }
 
 func siftUp(h []member, i int) {
+	m := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !memberLess(h[i], h[parent]) {
-			return
+		parent := (i - 1) / heapArity
+		if !memberLess(m, h[parent]) {
+			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = m
 }
 
 func popMin(h *[]member) {
 	s := *h
 	n := len(s) - 1
-	s[0] = s[n]
+	m := s[n]
 	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && memberLess(s[l], s[min]) {
-			min = l
+	if n > 0 {
+		i := 0
+		for {
+			first := heapArity*i + 1
+			if first >= n {
+				break
+			}
+			min := first
+			for c := first + 1; c < first+heapArity && c < n; c++ {
+				if memberLess(s[c], s[min]) {
+					min = c
+				}
+			}
+			if !memberLess(s[min], m) {
+				break
+			}
+			s[i] = s[min]
+			i = min
 		}
-		if r < n && memberLess(s[r], s[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		s[i] = m
 	}
 	*h = s
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/flowhash"
 	"repro/internal/fluid"
-	"repro/internal/ipstack"
 	"repro/internal/ipv4"
 	"repro/internal/netaddr"
 	"repro/internal/simnet"
@@ -23,13 +22,17 @@ import (
 // fluidPlan is the per-trial binding of solver links to fabric ports.
 type fluidPlan struct {
 	solver *fluid.Solver
-	// ids maps each transmit direction (keyed by its from-port) to the
-	// solver link reserved for it. Lookup-only after construction.
-	ids map[*simnet.Port]fluid.LinkID
+	// ids maps each transmit direction, by its from-port's device ID and
+	// port index, to the solver link reserved for it (noLink where none
+	// is). Lookup-only after construction.
+	ids [][]fluid.LinkID
 	// serial is the one-packet store-and-forward delay per hop, part of
 	// each path's fixed latency offset.
 	serial time.Duration
 }
+
+// noLink marks a port with no registered solver link.
+const noLink fluid.LinkID = -1
 
 // buildFluidPlan registers both directions of every fabric link with a fresh
 // solver. The apply hooks reserve the committed share on the wire, so packet
@@ -46,14 +49,22 @@ func (f *Fabric) buildFluidPlan(w WorkloadConfig) (*fluidPlan, error) {
 	capBps := float64(w.PacketSize*8) / w.PacketInterval.Seconds()
 	plan := &fluidPlan{
 		solver: fluid.New(fluid.Config{RateCapBps: capBps}),
-		ids:    make(map[*simnet.Port]fluid.LinkID),
+		ids:    make([][]fluid.LinkID, len(f.devs)),
 		serial: time.Duration(int64(w.PacketSize) * 8 * int64(time.Second) / w.LinkBps),
+	}
+	for id, d := range f.devs {
+		ports := make([]fluid.LinkID, len(d.node.Ports))
+		for i := range ports {
+			ports[i] = noLink
+		}
+		plan.ids[id] = ports
 	}
 	for _, link := range f.Sim.Links() {
 		link := link
 		for _, from := range []*simnet.Port{link.A, link.B} {
 			from := from
-			plan.ids[from] = plan.solver.AddLink(w.LinkBps, func(bps int64, at time.Duration) {
+			dev := f.Topo.Devices[from.Node.Name]
+			plan.ids[dev.ID][from.Index] = plan.solver.AddLink(w.LinkBps, func(bps int64, at time.Duration) {
 				link.SetFluidLoad(from, bps, at)
 			})
 		}
@@ -78,16 +89,16 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 		}
 		path = path[:0]
 		var latency time.Duration
-		add := func(from *simnet.Port) bool {
-			id, ok := plan.ids[from]
-			if !ok {
+		add := func(dev *topology.Device, port int) bool {
+			id := plan.ids[dev.ID][port]
+			if id == noLink {
 				return false
 			}
 			path = append(path, id)
-			latency += from.Link.Latency + plan.serial
+			latency += f.dev(dev).node.Ports[port].Link.Latency + plan.serial
 			return true
 		}
-		if !add(f.Sim.Node(src.Name).Port(1)) {
+		if !add(src, 1) {
 			return nil, 0, false
 		}
 		dstLeaf := dst.Ports[1].Peer.Device
@@ -105,12 +116,12 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 			if tp == nil || tp.Peer == nil || tp.Peer.Device.Tier == topology.TierServer {
 				return nil, 0, false
 			}
-			if !add(f.Sim.Node(dev.Name).Port(port)) {
+			if !add(dev, port) {
 				return nil, 0, false
 			}
 			dev = tp.Peer.Device
 		}
-		if !add(f.Sim.Node(dstLeaf.Name).Port(dst.Ports[1].Peer.Index)) {
+		if !add(dstLeaf, dst.Ports[1].Peer.Index) {
 			return nil, 0, false
 		}
 		return path, latency, true
@@ -120,13 +131,14 @@ func (f *Fabric) pathFunc(plan *fluidPlan, dstPort uint16) workload.PathFunc {
 // nextHopPort replicates one router's forwarding decision for a flow: the
 // protocol's own next-hop selection, returned as the egress port index.
 // dstRoot drives the MR-MTP VID walk, dstIP the BGP FIB lookup; both planes
-// hash the same flow key their data path would.
+// hash the same flow key their data path would. It is the one next-hop
+// helper the fluid path walk and the tracer share (DESIGN.md §15).
 func (f *Fabric) nextHopPort(dev *topology.Device, dstRoot byte, dstIP netaddr.IPv4, key flowhash.Key) (int, bool) {
+	d := f.dev(dev)
 	if f.Opts.Protocol == ProtoMRMTP {
-		return f.Routers[dev.Name].NextDataHop(dstRoot, key)
+		return d.router.NextDataHop(dstRoot, key)
 	}
-	var nh ipstack.NextHop
-	nh, ok := f.Stacks[dev.Name].NextHopFor(dstIP, key)
+	nh, ok := d.stack.NextHopFor(dstIP, key)
 	if !ok {
 		return 0, false
 	}

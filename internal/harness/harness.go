@@ -121,9 +121,25 @@ type Fabric struct {
 	Routers  map[string]*mrmtp.Router  // MR-MTP mode
 	Stacks   map[string]*ipstack.Stack // servers always; routers in BGP modes
 
+	// devs holds every topology device's runtime objects, indexed by
+	// topology.Device.ID and resolved once at Build: per-hop walks (the
+	// fluid path resolver, the tracer) index it instead of looking each
+	// hop up by name.
+	devs []fabricDevice
+
 	started  bool
 	probeSeq uint16 // last ICMP probe ID handed out (Ping/Traceroute)
 }
+
+// fabricDevice is one topology device's node and protocol instance.
+type fabricDevice struct {
+	node   *simnet.Node
+	router *mrmtp.Router  // MR-MTP routers; nil otherwise
+	stack  *ipstack.Stack // servers; routers in BGP modes; nil otherwise
+}
+
+// dev returns the runtime objects of a topology device of this fabric.
+func (f *Fabric) dev(d *topology.Device) *fabricDevice { return &f.devs[d.ID] }
 
 // nextProbeID issues a fresh ICMP echo ID. The counter lives on the fabric
 // rather than at package level so concurrent trials — each with its own
@@ -227,6 +243,14 @@ func Build(opts Options) (*Fabric, error) {
 		f.buildBGP(opts.Protocol == ProtoBGPBFD)
 	default:
 		return nil, fmt.Errorf("harness: unknown protocol %d", int(opts.Protocol))
+	}
+	f.devs = make([]fabricDevice, len(names))
+	for _, name := range names {
+		f.devs[topo.Devices[name].ID] = fabricDevice{
+			node:   f.Sim.Node(name),
+			router: f.Routers[name],
+			stack:  f.Stacks[name],
+		}
 	}
 	return f, nil
 }

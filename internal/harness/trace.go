@@ -224,12 +224,12 @@ func newTraceRun(f *Fabric, cfg TraceConfig) *traceRun {
 		history: make(map[int][]stampedCover),
 	}
 	for _, src := range f.Topo.Leaves {
-		node := f.Sim.Node(src.Name)
+		d := f.dev(src)
 		var tr pathtrace.Transport
 		if f.Opts.Protocol == ProtoMRMTP {
-			tr = mrmtpProbeTransport{f.Routers[src.Name]}
+			tr = mrmtpProbeTransport{d.router}
 		} else {
-			tr = bgpProbeTransport{f.Stacks[src.Name]}
+			tr = bgpProbeTransport{d.stack}
 		}
 		for _, dst := range f.Topo.Leaves {
 			if dst == src {
@@ -245,7 +245,7 @@ func newTraceRun(f *Fabric, cfg TraceConfig) *traceRun {
 					Dst:    topology.LeafGatewayIP(dst),
 					Flow:   flow,
 					MaxTTL: maxTTL,
-				}, node.Sim, tr)
+				}, d.node.Sim, tr)
 				run.vants = append(run.vants, traceVantage{src: src, dst: dst})
 			}
 		}
@@ -253,9 +253,9 @@ func newTraceRun(f *Fabric, cfg TraceConfig) *traceRun {
 		// gateway in both planes.
 		dispatch := func(from netaddr.IPv4, m icmp.Message) { run.tracer.Dispatch(from, m) }
 		if f.Opts.Protocol == ProtoMRMTP {
-			f.Routers[src.Name].ListenICMP(dispatch)
+			d.router.ListenICMP(dispatch)
 		} else {
-			f.Stacks[src.Name].ListenICMP(dispatch)
+			d.stack.ListenICMP(dispatch)
 		}
 	}
 	return run
@@ -268,7 +268,7 @@ func (run *traceRun) start() {
 	probers := run.tracer.Probers()
 	n := len(probers)
 	for i, p := range probers {
-		sim := run.f.Sim.Node(run.vants[i].src.Name).Sim
+		sim := run.f.dev(run.vants[i].src).node.Sim
 		p := p
 		var tick func()
 		tick = func() {

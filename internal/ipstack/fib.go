@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/flowhash"
+	"repro/internal/invariant"
 	"repro/internal/netaddr"
 )
 
@@ -41,7 +42,13 @@ type Route struct {
 // FIB is a longest-prefix-match forwarding table.
 type FIB struct {
 	routes []Route
-	live   []NextHop // Lookup's scratch: reused so per-packet lookups do not allocate
+	// order indexes routes in lookup preference: prefix length
+	// descending, then metric ascending, then position in routes
+	// ascending. Lookup returns the first containing route with a usable
+	// next hop, which is the route a full scan keeping the longest, then
+	// cheapest, then earliest match would pick.
+	order []int32
+	live  []NextHop // Lookup's scratch: reused so per-packet lookups do not allocate
 }
 
 // Replace installs a route, replacing any same-prefix route from the same
@@ -49,11 +56,19 @@ type FIB struct {
 func (f *FIB) Replace(r Route) {
 	for i := range f.routes {
 		if f.routes[i].Prefix == r.Prefix && f.routes[i].Proto == r.Proto {
+			moved := f.routes[i].Metric != r.Metric
 			f.routes[i] = r
+			if moved {
+				f.unlink(int32(i))
+				f.link(int32(i))
+			}
+			f.checkOrder()
 			return
 		}
 	}
 	f.routes = append(f.routes, r)
+	f.link(int32(len(f.routes) - 1))
+	f.checkOrder()
 }
 
 // Remove deletes the route for prefix installed by proto. It reports
@@ -62,10 +77,70 @@ func (f *FIB) Remove(prefix netaddr.Prefix, proto string) bool {
 	for i := range f.routes {
 		if f.routes[i].Prefix == prefix && f.routes[i].Proto == proto {
 			f.routes = append(f.routes[:i], f.routes[i+1:]...)
+			f.unlink(int32(i))
+			// Routes after i moved down one position; their relative
+			// order, and so their rank, is unchanged.
+			for k, j := range f.order {
+				if j > int32(i) {
+					f.order[k] = j - 1
+				}
+			}
+			f.checkOrder()
 			return true
 		}
 	}
 	return false
+}
+
+// before reports whether route i is preferred over route j.
+func (f *FIB) before(i, j int32) bool {
+	a, b := &f.routes[i], &f.routes[j]
+	if a.Prefix.Bits != b.Prefix.Bits {
+		return a.Prefix.Bits > b.Prefix.Bits
+	}
+	if a.Metric != b.Metric {
+		return a.Metric < b.Metric
+	}
+	return i < j
+}
+
+// link inserts route i into order at its rank. Shifting the tail in place
+// keeps updates allocation-free once order has grown to the table size.
+func (f *FIB) link(i int32) {
+	lo, hi := 0, len(f.order)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if f.before(f.order[mid], i) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	f.order = append(f.order, 0)
+	copy(f.order[lo+1:], f.order[lo:])
+	f.order[lo] = i
+}
+
+// unlink drops route index i from order.
+func (f *FIB) unlink(i int32) {
+	for k, j := range f.order {
+		if j == i {
+			f.order = append(f.order[:k], f.order[k+1:]...)
+			return
+		}
+	}
+}
+
+// checkOrder asserts, in invariant builds, that order ranks every route
+// exactly once.
+func (f *FIB) checkOrder() {
+	if !invariant.Enabled {
+		return
+	}
+	invariant.Assert(len(f.order) == len(f.routes), "ipstack: FIB order does not rank every route")
+	for k := 1; k < len(f.order); k++ {
+		invariant.Assert(f.before(f.order[k-1], f.order[k]), "ipstack: FIB order out of rank")
+	}
 }
 
 // Get returns the route for an exact prefix+proto, or nil.
@@ -83,9 +158,11 @@ func (f *FIB) Get(prefix netaddr.Prefix, proto string) *Route {
 func (f *FIB) Len() int { return len(f.routes) }
 
 // Lookup performs longest-prefix-match for dst, preferring more-specific
-// prefixes, then lower metrics. Next hops whose interface is down are
-// filtered out (kernel dead-nexthop behaviour); a route with no usable next
-// hops is skipped entirely.
+// prefixes, then lower metrics, then the earlier-installed route. Next hops
+// whose interface is down are filtered out (kernel dead-nexthop
+// behaviour); a route with no usable next hops is skipped entirely. The
+// scan walks routes in preference order and stops at the first usable
+// match.
 //
 // The returned route's NextHops slice is scratch space owned by the FIB: it
 // is valid until the next Lookup call. Per-packet callers (routeOut) consume
@@ -93,42 +170,26 @@ func (f *FIB) Len() int { return len(f.routes) }
 //
 //simlint:hotpath
 func (f *FIB) Lookup(dst netaddr.IPv4) (Route, bool) {
-	best := -1
-	for i, r := range f.routes {
+	for _, i := range f.order {
+		r := &f.routes[i]
 		if !r.Prefix.Contains(dst) {
 			continue
 		}
-		if !r.usable() {
+		live := f.live[:0]
+		for _, nh := range r.NextHops {
+			if nh.Iface.Usable() {
+				live = append(live, nh)
+			}
+		}
+		f.live = live
+		if len(live) == 0 {
 			continue
 		}
-		if best < 0 ||
-			r.Prefix.Bits > f.routes[best].Prefix.Bits ||
-			(r.Prefix.Bits == f.routes[best].Prefix.Bits && r.Metric < f.routes[best].Metric) {
-			best = i
-		}
+		out := *r
+		out.NextHops = live
+		return out, true
 	}
-	if best < 0 {
-		return Route{}, false
-	}
-	r := f.routes[best]
-	live := f.live[:0]
-	for _, nh := range r.NextHops {
-		if nh.Iface.Usable() {
-			live = append(live, nh)
-		}
-	}
-	f.live = live
-	r.NextHops = live
-	return r, true
-}
-
-func (r Route) usable() bool {
-	for _, nh := range r.NextHops {
-		if nh.Iface.Usable() {
-			return true
-		}
-	}
-	return false
+	return Route{}, false
 }
 
 // FlowKey is the 5-tuple ECMP hashes on. It is shared with MR-MTP's uplink

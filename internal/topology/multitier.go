@@ -76,6 +76,7 @@ func BuildMultiTier(spec MultiTierSpec) (*Topology, error) {
 		Devices: make(map[string]*Device),
 	}
 	add := func(d *Device, level int) *Device {
+		d.ID = len(t.Devices)
 		d.Ports = []*Port{nil}
 		d.Level = level
 		t.Devices[d.Name] = d

@@ -107,6 +107,10 @@ func (s Spec) Validate() error {
 // Device is one node in the fabric.
 type Device struct {
 	Name string
+	// ID is the device's dense 0-based index in creation order, unique
+	// within its topology: per-fabric tables index by it instead of by
+	// name.
+	ID   int
 	Tier Tier
 	// Level is the numeric tier: 0 servers, 1 ToRs, counting up to the
 	// fabric's top. It equals int(Tier) in three-tier fabrics and is set
@@ -211,6 +215,7 @@ func Build(spec Spec) (*Topology, error) {
 	t := &Topology{Spec: spec, Devices: make(map[string]*Device)}
 
 	add := func(d *Device) *Device {
+		d.ID = len(t.Devices)
 		d.Ports = []*Port{nil}
 		d.Level = int(d.Tier)
 		t.Devices[d.Name] = d

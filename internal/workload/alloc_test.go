@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
+
+	"repro/internal/fluid"
 )
 
 // TestSendDataAllocs pins the packet workload's per-packet budget at zero
@@ -37,5 +40,32 @@ func TestSendDataAllocs(t *testing.T) {
 	}
 	if avg > 0 {
 		t.Errorf("sendData allocates %.1f/op in steady state, want 0", avg)
+	}
+}
+
+// TestNewScheduleAllocs pins the schedule's allocation count as flat in the
+// flow count: Flow records come from one slab, and fluid flows stay out of
+// the packet receive map, so 10⁴ fluid flows cost New no more allocations
+// than 10³.
+func TestNewScheduleAllocs(t *testing.T) {
+	// A collection cycle started by the large slabs adds the odd runtime
+	// allocation of its own; hold the collector off so only New counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w := newRig(t, 1)
+	allocs := func(flows int) float64 {
+		cfg := smallConfig(1)
+		cfg.Mode = ModeFluid
+		cfg.Flows = flows
+		cfg.Solver = fluid.New(fluid.Config{})
+		cfg.PathOf = func(*Flow) ([]fluid.LinkID, time.Duration, bool) { return nil, 0, false }
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(nil, w.hosts, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	if large > small {
+		t.Errorf("New allocates %.0f times for 10⁴ fluid flows but %.0f for 10³: per-flow allocations crept in", large, small)
 	}
 }

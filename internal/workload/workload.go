@@ -206,6 +206,9 @@ type Engine struct {
 	fluidTimer *simnet.Timer
 	phantoms   []phantomFlow
 
+	// settled is Done's resume point: every flow before it has finished.
+	settled int
+
 	// PacketsSent counts data transmissions including repairs;
 	// Retransmits the repair subset. Both are written only from the
 	// send path (control events), never from receive handlers —
@@ -248,13 +251,17 @@ func New(sim simnet.Engine, hosts []Host, cfg Config) (*Engine, error) {
 		sim:     sim,
 		hosts:   hosts,
 		cfg:     cfg,
-		byID:    make(map[uint32]*Flow, cfg.Flows),
+		flows:   make([]*Flow, cfg.Flows),
+		byID:    make(map[uint32]*Flow),
 		payload: make([]byte, cfg.PacketSize),
 	}
+	// One slab holds every Flow record: a million-flow schedule is one
+	// allocation, not a million.
+	slab := make([]Flow, cfg.Flows)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pair := e.pairer(rng)
 	var at time.Duration
-	for i := 0; i < cfg.Flows; i++ {
+	for i := range slab {
 		at += time.Duration(rng.ExpFloat64() * float64(cfg.MeanArrival))
 		src, dst := pair(i)
 		bytes := cfg.Sizes.Sample(rng.Float64())
@@ -262,7 +269,8 @@ func New(sim simnet.Engine, hosts []Host, cfg Config) (*Engine, error) {
 			bytes = 1
 		}
 		pkts := (bytes + cfg.PacketSize - 1) / cfg.PacketSize
-		f := &Flow{
+		f := &slab[i]
+		*f = Flow{
 			ID:      uint32(i + 1),
 			Src:     src,
 			Dst:     dst,
@@ -272,7 +280,7 @@ func New(sim simnet.Engine, hosts []Host, cfg Config) (*Engine, error) {
 			Start:   at,
 		}
 		f.fluid = e.routeFluid(f)
-		e.flows = append(e.flows, f)
+		e.flows[i] = f
 		if !f.fluid {
 			// The receive path only ever looks up packet flows; keeping
 			// fluid flows out of the map keeps its footprint bounded by
@@ -576,10 +584,13 @@ func (e *Engine) onDatagram(local *simnet.Sim, dg udp.Datagram) {
 
 // Done reports whether every flow has finished (completed or abandoned).
 // Callers run at quiescent points, so reading flow flags written by other
-// shards' receive handlers is safe.
+// shards' receive handlers is safe. A finished flow never becomes
+// unfinished (Done and Abandoned are only ever set), so the scan resumes
+// at the first flow it last found unfinished: polling costs O(flows) per
+// run, not per call.
 func (e *Engine) Done() bool {
-	for _, f := range e.flows {
-		if !f.Done && !f.Abandoned {
+	for ; e.settled < len(e.flows); e.settled++ {
+		if f := e.flows[e.settled]; !f.Done && !f.Abandoned {
 			return false
 		}
 	}
@@ -668,11 +679,20 @@ func (e *Engine) Report(buckets []Bucket) Report {
 		Flows:       len(e.flows),
 		PacketsSent: e.PacketsSent,
 		Retransmits: e.Retransmits,
+		Buckets:     make([]BucketReport, len(buckets)),
 	}
+	for i, b := range buckets {
+		r.Buckets[i].Label = b.Label
+	}
+	// Count first, then fill each FCT sample into one exact-size
+	// allocation (a bucket with no completions keeps a nil sample).
 	for _, f := range e.flows {
+		br := &r.Buckets[bucketOf(buckets, f.Bytes)]
+		br.Flows++
 		switch {
 		case f.Done:
 			r.Completed++
+			br.Completed++
 		case f.Abandoned:
 			r.Abandoned++
 		}
@@ -683,25 +703,28 @@ func (e *Engine) Report(buckets []Bucket) Report {
 	}
 	r.Incomplete = r.Flows - r.Completed - r.Abandoned
 	r.PeakConcurrent = e.peakConcurrent()
-	for _, b := range buckets {
-		r.Buckets = append(r.Buckets, BucketReport{Label: b.Label})
+	for i := range r.Buckets {
+		if n := r.Buckets[i].Completed; n > 0 {
+			r.Buckets[i].FCTms = make([]float64, 0, n)
+		}
 	}
 	for _, f := range e.flows {
-		idx := len(buckets) - 1
-		for i, b := range buckets {
-			if f.Bytes <= b.MaxBytes {
-				idx = i
-				break
-			}
-		}
-		br := &r.Buckets[idx]
-		br.Flows++
 		if f.Done {
-			br.Completed++
+			br := &r.Buckets[bucketOf(buckets, f.Bytes)]
 			br.FCTms = append(br.FCTms, float64(f.FCT)/float64(time.Millisecond))
 		}
 	}
 	return r
+}
+
+// bucketOf is the index of the first bucket holding bytes, or the last.
+func bucketOf(buckets []Bucket, bytes int) int {
+	for i, b := range buckets {
+		if bytes <= b.MaxBytes {
+			return i
+		}
+	}
+	return len(buckets) - 1
 }
 
 // peakConcurrent sweeps launch/completion instants to find the maximum
@@ -720,7 +743,11 @@ func (e *Engine) peakConcurrent() int {
 			ends = append(ends, f.launchedAt+f.FCT)
 		}
 	}
-	slices.Sort(starts)
+	// Launches happen in schedule order, so starts normally arrive
+	// sorted; only an out-of-order launch pays for the sort.
+	if !slices.IsSorted(starts) {
+		slices.Sort(starts)
+	}
 	slices.Sort(ends)
 	cur, peak, j := 0, 0, 0
 	for _, s := range starts {

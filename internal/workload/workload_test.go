@@ -439,3 +439,59 @@ func TestSamplerReserveKeepsSamples(t *testing.T) {
 		t.Errorf("last flow finished %v after start, before the horizon %v", last, e.Horizon())
 	}
 }
+
+// Done resumes from where it last found an unfinished flow, so it must
+// not skip an early straggler when later flows finish first, and it must
+// count abandoned flows as finished.
+func TestDoneWaitsForEarlyStraggler(t *testing.T) {
+	w := newRig(t, 1)
+	cfg := smallConfig(1)
+	cfg.Flows = 5
+	e, err := New(nil, w.hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := e.Flows()
+	if e.Done() {
+		t.Fatal("Done before any flow finished")
+	}
+	for _, f := range fs[1:] {
+		f.Done = true
+	}
+	if e.Done() {
+		t.Fatal("Done with flow 1 still unfinished and only later flows finished")
+	}
+	fs[0].Done = true
+	if !e.Done() {
+		t.Fatal("not Done after every flow completed")
+	}
+}
+
+func TestDoneCountsAbandonedFlows(t *testing.T) {
+	w := newRig(t, 1)
+	cfg := smallConfig(1)
+	cfg.Flows = 6
+	e, err := New(nil, w.hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := e.Flows()
+	fs[0].Done = true
+	fs[1].Abandoned = true
+	fs[3].Done = true
+	if e.Done() {
+		t.Fatal("Done with flow 3 unfinished")
+	}
+	fs[2].Abandoned = true
+	fs[4].Abandoned = true
+	if e.Done() {
+		t.Fatal("Done with flow 6 unfinished")
+	}
+	fs[5].Done = true
+	if !e.Done() {
+		t.Fatal("not Done after every flow completed or was abandoned")
+	}
+	if r := e.Report(nil); r.Completed != 3 || r.Abandoned != 3 || r.Incomplete != 0 {
+		t.Errorf("report counts %d completed, %d abandoned, %d incomplete; want 3, 3, 0", r.Completed, r.Abandoned, r.Incomplete)
+	}
+}
